@@ -27,10 +27,13 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.partindex import PartitionedIndex
-from repro.core.partitioner import assign_partitions, kmeans
-from repro.core.pmlsh import CAND_SCHEMA
+from repro.core.pmlsh import (
+    CAND_SCHEMA,
+    build_prologue,
+    check_queries,
+    sample_distances,
+)
 from repro.core.projection import GaussianProjection
-from repro.costmodel import DistanceDistribution
 
 __all__ = ["MultiProbe", "probe_sequence"]
 
@@ -105,27 +108,16 @@ class MultiProbe:
               m_mp: int = 8, n_probe: int = 128, w: float | None = None,
               w_quantile: float = 0.5, n_partitions: int = 8, seed: int = 0,
               sample_size: int = 4096) -> "MultiProbe":
-        first = vectors.select("vec").first()
-        if first is None:
-            raise ValueError("cannot build an index over an empty DataFrame")
-        d = len(first["vec"])
-        n = vectors.count()
         # partitioning reuses a cheap projection just to cluster the data
-        part_proj = GaussianProjection(d, 8, seed=seed + 77)
-        projected = part_proj.transform(vectors)
-        frac = min(1.0, (3.0 * sample_size) / max(n, 1))
-        sample_rows = projected.sample(fraction=frac, seed=seed).limit(sample_size).collect()
-        S_proj = np.stack([np.asarray(r["proj"]) for r in sample_rows])
-        S_orig = np.stack([np.asarray(r["vec"]) for r in sample_rows])
-        centers = kmeans(S_proj, n_partitions, seed=seed)
+        part_proj, n, assigned, _, S_orig = build_prologue(
+            vectors, lambda d, _n: GaussianProjection(d, 8, seed=seed + 77),
+            n_partitions=n_partitions, seed=seed, sample_size=sample_size)
         if w is None:
-            F = DistanceDistribution(S_orig, n_pairs=min(200_000, 40 * len(S_orig)),
-                                     seed=seed)
-            w = max(F.quantile(w_quantile), 1e-6)
+            w = max(sample_distances(S_orig, seed).quantile(w_quantile), 1e-6)
         projections = [
-            GaussianProjection(d, m_mp, seed=seed + 1000 + t, w=w) for t in range(L)
+            GaussianProjection(part_proj.d, m_mp, seed=seed + 1000 + t, w=w)
+            for t in range(L)
         ]
-        assigned = assign_partitions(projected, centers)
 
         def _build(pdf: pd.DataFrame) -> tuple[dict, dict]:
             X = np.stack(pdf["vec"].to_numpy())
@@ -150,9 +142,7 @@ class MultiProbe:
     # ------------------------------------------------------------------
     def query_batch(self, Q: np.ndarray, k: int = 50
                     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        Q = np.asarray(Q, dtype=np.float64)
-        if Q.ndim == 1:
-            Q = Q[None, :]
+        Q = check_queries(Q, k)
         # driver-side probing sequences: tiny (L * n_probe buckets per query)
         plans: dict[int, list[list[tuple[int, ...]]]] = {}
         for qi, q in enumerate(Q):

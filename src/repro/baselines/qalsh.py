@@ -31,8 +31,13 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.partindex import PartitionedIndex
-from repro.core.partitioner import assign_partitions, kmeans
-from repro.core.pmlsh import CAND_SCHEMA
+from repro.core.pmlsh import (
+    CAND_SCHEMA,
+    ann_search,
+    build_prologue,
+    check_queries,
+    sample_distances,
+)
 from repro.core.projection import GaussianProjection
 from repro.costmodel import DistanceDistribution
 
@@ -79,23 +84,15 @@ class QALSH:
               beta_q: float | None = None, n_partitions: int = 8,
               seed: int = 0, sample_size: int = 4096, m_cap: int = 200
               ) -> "QALSH":
-        first = vectors.select("vec").first()
-        if first is None:
-            raise ValueError("cannot build an index over an empty DataFrame")
-        d = len(first["vec"])
-        n = vectors.count()
+        proj, n, assigned, _, S_orig = build_prologue(
+            vectors,
+            lambda d, n: GaussianProjection(
+                d, qalsh_params(n, c, w=w, delta=delta, beta_q=beta_q,
+                                m_cap=m_cap)[0], seed=seed + 31),
+            n_partitions=n_partitions, seed=seed, sample_size=sample_size)
         m_q, l, beta_q = qalsh_params(n, c, w=w, delta=delta, beta_q=beta_q,
                                       m_cap=m_cap)
-        proj = GaussianProjection(d, m_q, seed=seed + 31)
-        projected = proj.transform(vectors)
-        frac = min(1.0, (3.0 * sample_size) / max(n, 1))
-        sample_rows = projected.sample(fraction=frac, seed=seed).limit(sample_size).collect()
-        S_proj = np.stack([np.asarray(r["proj"]) for r in sample_rows])
-        S_orig = np.stack([np.asarray(r["vec"]) for r in sample_rows])
-        centers = kmeans(S_proj, n_partitions, seed=seed)
-        F = DistanceDistribution(S_orig, n_pairs=min(200_000, 40 * len(S_orig)),
-                                 seed=seed)
-        assigned = assign_partitions(projected, centers)
+        F = sample_distances(S_orig, seed)
 
         def _build(pdf: pd.DataFrame) -> tuple[dict, dict]:
             H = np.stack(pdf["proj"].to_numpy())          # (n_i, m_q)
@@ -118,25 +115,18 @@ class QALSH:
         r = self.F.quantile(0.001)
         return max(r, 1e-6)
 
-    def query_batch(self, Q: np.ndarray, k: int = 50, *, max_rounds: int = 48
+    def query_batch(self, Q: np.ndarray, k: int = 50
                     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        Q = np.asarray(Q, dtype=np.float64)
-        if Q.ndim == 1:
-            Q = Q[None, :]
+        Q = check_queries(Q, k)
         QH = self.proj.project(Q)                     # (nq, m_q)
-        budget = self.beta_q * self.n + k
-        r = {i: self.r0() for i in range(len(Q))}
-        cand: dict[int, dict[int, float]] = {i: {} for i in range(len(Q))}
-        active = set(range(len(Q)))
-        results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         l_loc, w_loc, QV = self.l, self.w, Q
 
-        for _ in range(max_rounds):
-            if not active:
-                break
-            radii = {i: r[i] for i in active}
+        def _round(radii: dict[int, float], cand: dict[int, dict[int, float]]
+                   ) -> pd.DataFrame:
+            # collision counting is not nested across radii, so every round
+            # skips the candidates earlier rounds already verified
             seen_ids = {i: np.fromiter(cand[i].keys(), dtype=np.int64,
-                                       count=len(cand[i])) for i in active}
+                                       count=len(cand[i])) for i in radii}
 
             def _probe(blob: dict, summary: dict, pid: int) -> pd.DataFrame | None:
                 sorted_h, order = blob["sorted_h"], blob["order"]
@@ -176,32 +166,12 @@ class QALSH:
                     return None
                 return pd.concat(out, ignore_index=True)
 
-            got = self.index.probe(_probe, schema=CAND_SCHEMA).toPandas()
-            for qid, grp in got.groupby("qid"):
-                cand[int(qid)].update(
-                    dict(zip(grp["id"].astype(int), grp["dist"].astype(float)))
-                )
-            done = set()
-            for i in active:
-                C = cand[i]
-                close = sum(1 for dd in C.values() if dd <= self.c * r[i])
-                if (len(C) >= k and close >= k) or len(C) >= budget or len(C) >= self.n:
-                    ids_arr = np.fromiter(C.keys(), dtype=np.int64, count=len(C))
-                    dists = np.fromiter(C.values(), dtype=np.float64, count=len(C))
-                    order_ = np.argsort(dists, kind="stable")[:k]
-                    results[i] = (ids_arr[order_], dists[order_])
-                    done.add(i)
-                else:
-                    r[i] *= self.c
-            active -= done
-        for i in active:
-            C = cand[i]
-            ids_arr = np.fromiter(C.keys(), dtype=np.int64, count=len(C))
-            dists = np.fromiter(C.values(), dtype=np.float64, count=len(C))
-            order_ = np.argsort(dists, kind="stable")[:k]
-            results[i] = (ids_arr[order_], dists[order_])
-        self.last_probed = {i: len(cand[i]) for i in range(len(Q))}
-        return [results[i] for i in range(len(Q))]
+            return self.index.probe(_probe, schema=CAND_SCHEMA).toPandas()
 
-    def query(self, q: np.ndarray, k: int = 50, **kw) -> tuple[np.ndarray, np.ndarray]:
-        return self.query_batch(np.asarray(q)[None, :], k, **kw)[0]
+        results, self.last_probed = ann_search(
+            _round, len(Q), k, r0=self.r0(), c=self.c,
+            budget=self.beta_q * self.n + k, n=self.n, max_rounds=48)
+        return results
+
+    def query(self, q: np.ndarray, k: int = 50) -> tuple[np.ndarray, np.ndarray]:
+        return self.query_batch(np.asarray(q)[None, :], k)[0]

@@ -1,13 +1,10 @@
-"""R-tree over the projected space (substrate for SRS / R-LSH / Table 2).
+"""R-tree over the projected space (substrate for R-LSH / Table 2).
 
 Bulk-loaded with Sort-Tile-Recursive (STR), fixed node capacity (16 in
-the paper's cost study). Two queries are served:
-
-- ``range_query(q, r)`` — ball/MBR intersection via mindist, used by the
-  R-LSH baseline (PM-LSH with the PM-tree swapped out) and by the
-  empirical side of the Table 2 cost comparison;
-- ``incremental_nn(q)`` — Hjaltason–Samet best-first traversal yielding
-  points in increasing (projected) distance, used by the SRS baseline.
+the paper's cost study). It serves ``range_query(q, r)`` — ball/MBR
+intersection via mindist, used by the R-LSH baseline (PM-LSH with the
+PM-tree swapped out) and by the empirical side of the Table 2 cost
+comparison.
 
 Distance computations are counted in ``cc`` with the same accounting as
 the PM-tree (one unit per point distance or per node mindist), so the
@@ -15,9 +12,7 @@ two trees' empirical costs are comparable.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -145,32 +140,6 @@ class RTree:
         if not out_rows:
             return np.empty(0, dtype=np.int64), np.empty(0)
         return np.concatenate(out_rows), np.concatenate(out_dists)
-
-    def incremental_nn(self, q: np.ndarray) -> Iterator[tuple[int, float]]:
-        """Yield ``(row, distance)`` in nondecreasing distance (best-first)."""
-        q = np.asarray(q, dtype=np.float64)
-        heap: list[tuple[float, int, object]] = []
-        counter = 0
-        heapq.heappush(heap, (_mindist2(q, self.root.lo, self.root.hi), counter, self.root))
-        self.cc += 1
-        while heap:
-            key, _, item = heapq.heappop(heap)
-            if isinstance(item, _RNode):
-                self.nodes_accessed += 1
-                if item.is_leaf:
-                    diff = self.X[item.rows] - q[None, :]
-                    d2 = np.einsum("ij,ij->i", diff, diff)
-                    self.cc += len(item.rows)
-                    for row, dd in zip(item.rows, d2):
-                        counter += 1
-                        heapq.heappush(heap, (float(dd), counter, int(row)))
-                else:
-                    for ch in item.children:
-                        counter += 1
-                        self.cc += 1
-                        heapq.heappush(heap, (_mindist2(q, ch.lo, ch.hi), counter, ch))
-            else:
-                yield int(item), float(np.sqrt(key))
 
     # ---- introspection ---------------------------------------------------
     def nodes(self) -> list[_RNode]:

@@ -31,8 +31,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.partindex import PartitionedIndex
-from repro.core.partitioner import assign_partitions, kmeans
-from repro.core.pmlsh import CAND_SCHEMA
+from repro.core.pmlsh import CAND_SCHEMA, build_prologue, check_queries
 from repro.core.projection import GaussianProjection
 from repro.numerics.chi2 import chi2_cdf
 
@@ -59,18 +58,9 @@ class SRS:
               c: float = 1.5, T: float = 0.4010, p_tau: float = 0.8107,
               n_partitions: int = 8, seed: int = 0,
               sample_size: int = 4096, early_stop: bool = True) -> "SRS":
-        first = vectors.select("vec").first()
-        if first is None:
-            raise ValueError("cannot build an index over an empty DataFrame")
-        d = len(first["vec"])
-        proj = GaussianProjection(d, m, seed=seed)
-        projected = proj.transform(vectors)
-        n = vectors.count()
-        frac = min(1.0, (3.0 * sample_size) / max(n, 1))
-        sample_rows = projected.sample(fraction=frac, seed=seed).limit(sample_size).collect()
-        S_proj = np.stack([np.asarray(r["proj"]) for r in sample_rows])
-        centers = kmeans(S_proj, n_partitions, seed=seed)
-        assigned = assign_partitions(projected, centers)
+        proj, n, assigned, _, _ = build_prologue(
+            vectors, lambda d, _n: GaussianProjection(d, m, seed=seed),
+            n_partitions=n_partitions, seed=seed, sample_size=sample_size)
 
         def _build(pdf: pd.DataFrame) -> tuple[dict, dict]:
             P = np.stack(pdf["proj"].to_numpy())
@@ -85,9 +75,7 @@ class SRS:
     # ------------------------------------------------------------------
     def query_batch(self, Q: np.ndarray, k: int = 50
                     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        Q = np.asarray(Q, dtype=np.float64)
-        if Q.ndim == 1:
-            Q = Q[None, :]
+        Q = check_queries(Q, k)
         QP = self.proj.project(Q)
         budget_total = int(np.ceil(self.T * self.n)) + k
         QP_loc, QV_loc, n_total = QP, Q, self.n

@@ -22,11 +22,16 @@ Query:
 - Queries are processed in *batches*: one Spark pass per radius round
   serves every still-active query, so the driver loop runs O(1) rounds,
   not O(rounds * queries).
+
+The build prologue (``build_prologue``), the Algorithm-2 radius loop
+(``ann_search``) and the query check (``check_queries``) are shared with
+the baselines, which import them from here.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -45,7 +50,8 @@ from repro.core.pmtree import PMTree, select_pivots
 from repro.core.projection import GaussianProjection
 from repro.costmodel import DistanceDistribution
 
-__all__ = ["PMLSH", "CAND_SCHEMA"]
+__all__ = ["PMLSH", "CAND_SCHEMA", "build_prologue", "sample_distances",
+           "ann_search", "check_queries"]
 
 CAND_SCHEMA = StructType(
     [
@@ -55,6 +61,97 @@ CAND_SCHEMA = StructType(
         StructField("dist", DoubleType(), False),
     ]
 )
+
+
+def build_prologue(vectors: DataFrame,
+                   make_proj: Callable[[int, int], GaussianProjection], *,
+                   n_partitions: int, seed: int, sample_size: int):
+    """Build steps shared by the distributed indexes.
+
+    ``make_proj(d, n)`` returns the caller's projection. The driver samples
+    about ``sample_size`` projected rows, runs k-means on the sample and
+    assigns every point to its nearest center's partition. Returns
+    ``(proj, n, assigned, S_proj, S_orig)``: the sample in projected and
+    original space.
+    """
+    first = vectors.select("vec").first()
+    if first is None:
+        raise ValueError("cannot build an index over an empty DataFrame")
+    n = vectors.count()
+    proj = make_proj(len(first["vec"]), n)
+    projected = proj.transform(vectors)
+    frac = min(1.0, (3.0 * sample_size) / max(n, 1))
+    sample_rows = projected.sample(fraction=frac, seed=seed).limit(sample_size).collect()
+    S_proj = np.stack([np.asarray(r["proj"]) for r in sample_rows])
+    S_orig = np.stack([np.asarray(r["vec"]) for r in sample_rows])
+    centers = kmeans(S_proj, n_partitions, seed=seed)
+    return proj, n, assign_partitions(projected, centers), S_proj, S_orig
+
+
+def sample_distances(S_orig: np.ndarray, seed: int) -> DistanceDistribution:
+    """The distance distribution F estimated from the build sample."""
+    return DistanceDistribution(S_orig, n_pairs=min(200_000, 40 * len(S_orig)),
+                                seed=seed)
+
+
+def check_queries(Q: np.ndarray, k: int) -> np.ndarray:
+    """A query batch as an (nq, d) float array; raises ``ValueError`` on
+    ``k < 1`` or a non-finite coordinate, before any Spark pass."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    Q = np.asarray(Q, dtype=np.float64)
+    if Q.ndim == 1:
+        Q = Q[None, :]
+    if not np.isfinite(Q).all():
+        raise ValueError("queries must not contain NaN or infinite coordinates")
+    return Q
+
+
+def ann_search(probe: Callable[[dict[int, float], dict[int, dict[int, float]]],
+                               pd.DataFrame],
+               nq: int, k: int, *, r0: float, c: float, budget: float, n: int,
+               max_rounds: int) -> tuple[list[tuple[np.ndarray, np.ndarray]],
+                                         dict[int, int]]:
+    """(c,k)-ANN driver loop (Algorithm 2) for a batch of ``nq`` queries.
+
+    Each round calls ``probe(radii, cand)``: ``radii`` maps every active
+    query to its radius r, ``cand`` every query to its verified
+    ``{id: dist}`` so far. It returns the new candidates as a DataFrame
+    with ``qid``, ``id`` and ``dist``. A query stops once k candidates lie
+    within c*r, ``budget`` candidates are verified, or all ``n`` points
+    are; otherwise its r grows by c. Queries still active after
+    ``max_rounds`` rounds keep their best candidates so far.
+
+    Returns the top k ``(ids, dists)`` per query, ranked ascending, and the
+    number of verified candidates per query.
+    """
+    r = {i: r0 for i in range(nq)}
+    cand: dict[int, dict[int, float]] = {i: {} for i in range(nq)}
+    active = set(range(nq))
+    for _ in range(max_rounds):
+        if not active:
+            break
+        got = probe({i: r[i] for i in active}, cand)
+        for qid, grp in got.groupby("qid"):
+            cand[int(qid)].update(
+                dict(zip(grp["id"].astype(int), grp["dist"].astype(float)))
+            )
+        done = set()
+        for i in active:
+            C = cand[i]
+            close = sum(1 for dd in C.values() if dd <= c * r[i])
+            if close >= k or len(C) >= budget or len(C) >= n:
+                done.add(i)
+            else:
+                r[i] *= c
+        active -= done
+    results = []
+    for C in cand.values():
+        ids = np.fromiter(C.keys(), dtype=np.int64, count=len(C))
+        dists = np.fromiter(C.values(), dtype=np.float64, count=len(C))
+        order = np.argsort(dists, kind="stable")[:k]
+        results.append((ids[order], dists[order]))
+    return results, {i: len(C) for i, C in cand.items()}
 
 
 def _partition_pruned(summary: dict, qp: np.ndarray, qpiv: np.ndarray,
@@ -97,29 +194,16 @@ class PMLSH:
               capacity: int = 16, seed: int = 0,
               alpha1: float = 1.0 / math.e, beta: float | None = None,
               sample_size: int = 4096) -> "PMLSH":
-        first = vectors.select("vec").first()
-        if first is None:
-            raise ValueError("cannot build an index over an empty DataFrame")
-        d = len(first["vec"])
-        proj = GaussianProjection(d, m, seed=seed)
         ci = ConfidenceInterval.derive(m=m, c=c, alpha1=alpha1)
         if beta is not None:
             ci = ConfidenceInterval(m=m, c=c, alpha1=alpha1, t=ci.t,
                                     alpha2=ci.alpha2, beta=beta)
-
-        projected = proj.transform(vectors)
-        # driver-side sample: k-means centers, global pivots, F(x)
-        n = vectors.count()
-        frac = min(1.0, (3.0 * sample_size) / max(n, 1))
-        sample_rows = projected.sample(fraction=frac, seed=seed).limit(sample_size).collect()
-        S_proj = np.stack([np.asarray(r["proj"]) for r in sample_rows])
-        S_orig = np.stack([np.asarray(r["vec"]) for r in sample_rows])
-        centers = kmeans(S_proj, n_partitions, seed=seed)
+        proj, n, assigned, S_proj, S_orig = build_prologue(
+            vectors, lambda d, _n: GaussianProjection(d, m, seed=seed),
+            n_partitions=n_partitions, seed=seed, sample_size=sample_size)
+        # global pivots and F(x) come from the same driver-side sample
         pivots = select_pivots(S_proj, s, seed=seed)
-        F = DistanceDistribution(S_orig, n_pairs=min(200_000, 40 * len(S_orig)),
-                                 seed=seed)
-
-        assigned = assign_partitions(projected, centers)
+        F = sample_distances(S_orig, seed)
 
         make_tree = cls._tree_factory(capacity=capacity, pivots=pivots, seed=seed)
 
@@ -152,10 +236,10 @@ class PMLSH:
                    F=F, n=n, beta=ci.beta)
 
     # ---- helpers ---------------------------------------------------------
-    def r_min(self, k: int, *, shrink: float = 0.9) -> float:
+    def r_min(self, k: int) -> float:
         """Initial radius: n*F(r) ~= beta*n + k, shrunk slightly (Sec. 4.5)."""
         target = min(0.999, (self.beta * self.n + k) / max(self.n, 1))
-        r = self.F.quantile(target) * shrink
+        r = self.F.quantile(target) * 0.9
         return max(r, 1e-9)
 
     def _probe_round(self, QP: dict[int, np.ndarray], QV: dict[int, np.ndarray],
@@ -215,66 +299,31 @@ class PMLSH:
         return sdf.toPandas()
 
     # ---- queries ---------------------------------------------------------
-    def query_batch(self, Q: np.ndarray, k: int = 50, *, c: float | None = None,
-                    max_rounds: int = 64) -> list[tuple[np.ndarray, np.ndarray]]:
+    def query_batch(self, Q: np.ndarray, k: int = 50
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
         """(c,k)-ANN (Algorithm 2) for every row of ``Q``; returns
         ``[(ids, dists), ...]`` ranked ascending, one per query."""
-        Q = np.asarray(Q, dtype=np.float64)
-        if Q.ndim == 1:
-            Q = Q[None, :]
-        c = c if c is not None else self.ci.c
+        Q = check_queries(Q, k)
         t = self.ci.t
         QP = {i: p for i, p in enumerate(self.proj.project(Q))}
         QV = {i: Q[i] for i in range(len(Q))}
-        need = self.beta * self.n + k
-        r = {i: self.r_min(k) for i in range(len(Q))}
-        cand: dict[int, dict[int, float]] = {i: {} for i in range(len(Q))}
-        active = set(range(len(Q)))
-        results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for _ in range(max_rounds):
-            if not active:
-                break
-            got = self._probe_round(QP, QV, {i: t * r[i] for i in active})
-            for qid, grp in got.groupby("qid"):
-                cand[int(qid)].update(
-                    dict(zip(grp["id"].astype(int), grp["dist"].astype(float)))
-                )
-            done = set()
-            for i in active:
-                C = cand[i]
-                enough_close = (
-                    len(C) >= k
-                    and sum(1 for dd in C.values() if dd <= c * r[i]) >= k
-                )
-                if enough_close or len(C) >= need or len(C) >= self.n:
-                    ids = np.fromiter(C.keys(), dtype=np.int64, count=len(C))
-                    dists = np.fromiter(C.values(), dtype=np.float64, count=len(C))
-                    order = np.argsort(dists, kind="stable")[:k]
-                    results[i] = (ids[order], dists[order])
-                    done.add(i)
-                else:
-                    r[i] *= c
-            active -= done
-        for i in active:  # radius cap reached: return best effort
-            C = cand[i]
-            ids = np.fromiter(C.keys(), dtype=np.int64, count=len(C))
-            dists = np.fromiter(C.values(), dtype=np.float64, count=len(C))
-            order = np.argsort(dists, kind="stable")[:k]
-            results[i] = (ids[order], dists[order])
+        results, probed = ann_search(
+            lambda radii, _cand: self._probe_round(
+                QP, QV, {i: t * r for i, r in radii.items()}),
+            len(Q), k, r0=self.r_min(k), c=self.ci.c,
+            budget=self.beta * self.n + k, n=self.n, max_rounds=64)
         # candidates whose true distances were verified, per query — the
         # hardware-independent cost the paper's timing reflects
-        self.last_probed = {i: len(cand[i]) for i in range(len(Q))}
-        return [results[i] for i in range(len(Q))]
+        self.last_probed = probed
+        return results
 
-    def query(self, q: np.ndarray, k: int = 50, **kw) -> tuple[np.ndarray, np.ndarray]:
+    def query(self, q: np.ndarray, k: int = 50) -> tuple[np.ndarray, np.ndarray]:
         """Single-query convenience wrapper over ``query_batch``."""
-        return self.query_batch(np.asarray(q)[None, :], k, **kw)[0]
+        return self.query_batch(np.asarray(q)[None, :], k)[0]
 
-    def ball_cover(self, q: np.ndarray, r: float, *, c: float | None = None
-                   ) -> tuple[int, float] | None:
+    def ball_cover(self, q: np.ndarray, r: float) -> tuple[int, float] | None:
         """(r,c)-BC query (Algorithm 1): a point in B(q, c*r), or None."""
         q = np.asarray(q, dtype=np.float64)
-        c = c if c is not None else self.ci.c
         QP = {0: self.proj.project(q)[0]}
         got = self._probe_round(QP, {0: q}, {0: self.ci.t * r})
         if len(got) == 0:
@@ -283,6 +332,6 @@ class PMLSH:
         best_id, best_d = int(got.iloc[0]["id"]), float(got.iloc[0]["dist"])
         if len(got) >= self.beta * self.n + 1:
             return best_id, best_d
-        if best_d <= c * r:
+        if best_d <= self.ci.c * r:
             return best_id, best_d
         return None

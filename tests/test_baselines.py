@@ -2,6 +2,7 @@
 import math
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.baselines.lscan import LScan
@@ -123,8 +124,28 @@ def test_qalsh_uses_many_hash_functions(qalsh_index):
     assert qalsh_index.m_q > 15  # the paper's space critique
 
 
-def test_qalsh_radius_schedule_geometric(qalsh_index):
-    assert qalsh_index.r0() > 0
+def test_qalsh_radius_schedule_geometric(qalsh_index, audio_small, monkeypatch):
+    """Virtual rehashing: radii r0, c*r0, c^2*r0, ... up to the round cap."""
+    import repro.baselines.qalsh as qalsh_mod
+
+    radii_seen = []
+    shared_loop = qalsh_mod.ann_search
+
+    def without_collisions(probe, *args, **kwargs):
+        def no_hits(radii, cand):
+            radii_seen.append(radii[0])
+            return pd.DataFrame(columns=["qid", "id", "dist"])
+        return shared_loop(no_hits, *args, **kwargs)
+
+    monkeypatch.setattr(qalsh_mod, "ann_search", without_collisions)
+    _, Q = audio_small
+    ids, _ = qalsh_index.query(Q[0], k=5)
+    r0 = qalsh_index.r0()
+    assert r0 > 0 and len(ids) == 0
+    expected = [r0]
+    while len(expected) < 48:
+        expected.append(expected[-1] * qalsh_index.c)
+    assert radii_seen == expected
 
 
 # ---- Multi-Probe ---------------------------------------------------------
@@ -195,6 +216,25 @@ def test_multiprobe_more_probes_do_not_hurt(spark, audio_df, audio_small,
                             n_partitions=6, seed=0)
     s_many = summarize(many.query_batch(Q, k=20), audio_exact)
     assert s_many["recall"] >= s_few["recall"] - 1e-9
+
+
+# ---- query input checks --------------------------------------------------
+
+@pytest.mark.parametrize("bad_value, k", [(np.nan, 5), (np.inf, 5), (None, 0),
+                                          (None, -1)])
+@pytest.mark.parametrize("index_name", ["pmlsh_index", "srs_index", "qalsh_index",
+                                        "mp_index"])
+def test_malformed_query_rejected_before_spark(request, monkeypatch, audio_small,
+                                               index_name, bad_value, k):
+    index = request.getfixturevalue(index_name)
+    probes = []
+    monkeypatch.setattr(index.index, "probe", lambda *a, **kw: probes.append(a))
+    Q = audio_small[1][:2].copy()
+    if bad_value is not None:
+        Q[1, 3] = bad_value
+    with pytest.raises(ValueError):
+        index.query_batch(Q, k)
+    assert probes == []
 
 
 # ---- LScan ---------------------------------------------------------------

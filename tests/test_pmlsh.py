@@ -1,8 +1,10 @@
 """Tests for the distributed PM-LSH framework (Algorithms 1 and 2)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro import datasets
+from repro.core.pmlsh import ann_search
 from repro.metrics import summarize
 
 
@@ -117,3 +119,62 @@ def test_probe_retrieves_candidates_within_projected_radius(pmlsh_index, audio_s
     pdist = np.linalg.norm(P - qp[None, :], axis=1)
     expected = set(np.where(pdist <= pr)[0].tolist())
     assert set(got["id"].astype(int).tolist()) == expected
+
+
+# ---- shared Algorithm-2 driver loop (fake rounds, no Spark) ---------------
+
+def _fake_rounds(dists: dict[int, np.ndarray], reach: float, log: list):
+    """Round callback over points at true distances ``dists[qid]``: a
+    round retrieves the points within ``reach * r`` (nested across rounds,
+    like PM-LSH's range queries) and logs the radii and the candidates
+    the caller could see."""
+    def probe(radii, cand):
+        log.append((dict(radii), {i: dict(C) for i, C in cand.items()}))
+        rows = [(qid, pid, d) for qid, r in radii.items()
+                for pid, d in enumerate(dists[qid]) if d <= reach * r]
+        return pd.DataFrame(rows, columns=["qid", "id", "dist"])
+    return probe
+
+
+def test_ann_search_stops_once_k_lie_within_cr():
+    log = []
+    dists = {0: np.arange(1.0, 101.0), 1: np.arange(1.0, 101.0) / 4}
+    res, probed = ann_search(_fake_rounds(dists, 2.0, log), 2, 3, r0=1.0,
+                             c=2.0, budget=1000, n=100, max_rounds=64)
+    # query 1 has 8 points within c*r0 = 2 after one round; query 0 needs r = 2
+    assert [radii for radii, _ in log] == [{0: 1.0, 1: 1.0}, {0: 2.0}]
+    # a deduping caller sees the candidates earlier rounds verified
+    assert log[0][1] == {0: {}, 1: {}}
+    assert log[1][1][0] == {0: 1.0, 1: 2.0}
+    np.testing.assert_array_equal(res[0][0], [0, 1, 2])
+    np.testing.assert_array_equal(res[0][1], [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(res[1][0], [0, 1, 2])
+    assert probed == {0: 4, 1: 8}
+
+
+def test_ann_search_stops_at_candidate_budget():
+    log = []
+    # 8 candidates in the first round, none of them within c*r = 2*0.1
+    res, probed = ann_search(_fake_rounds({0: np.arange(1.0, 101.0)}, 80.0, log),
+                             1, 3, r0=0.1, c=2.0, budget=5, n=100, max_rounds=64)
+    assert len(log) == 1 and probed == {0: 8}
+    np.testing.assert_array_equal(res[0][1], [1.0, 2.0, 3.0])
+
+
+def test_ann_search_stops_when_all_points_verified():
+    log = []
+    res, probed = ann_search(_fake_rounds({0: np.full(10, 100.0)}, 1e4, log),
+                             1, 3, r0=1.0, c=2.0, budget=1e9, n=10, max_rounds=64)
+    assert len(log) == 1 and probed == {0: 10}
+    assert len(res[0][0]) == 3
+
+
+def test_ann_search_round_cap_returns_best_effort():
+    log = []
+    # the single point is reached when r = 16 but never lies within c*r
+    res, probed = ann_search(_fake_rounds({0: np.array([50.0])}, 4.0, log),
+                             1, 1, r0=1.0, c=2.0, budget=1e9, n=100, max_rounds=5)
+    assert [radii[0] for radii, _ in log] == [1.0, 2.0, 4.0, 8.0, 16.0]
+    np.testing.assert_array_equal(res[0][0], [0])
+    np.testing.assert_array_equal(res[0][1], [50.0])
+    assert probed == {0: 1}

@@ -1,4 +1,4 @@
-"""Tests for the STR R-tree substrate (range + incremental NN)."""
+"""Tests for the STR R-tree substrate (range queries)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,27 +37,6 @@ def test_range_query_matches_brute_force(tree_and_data, r):
     rows, dists = tree.range_query(q, r)
     assert set(rows.tolist()) == brute_range(X, q, r)
     np.testing.assert_allclose(dists, np.linalg.norm(X[rows] - q[None, :], axis=1))
-
-
-def test_incremental_nn_order(tree_and_data):
-    tree, X = tree_and_data
-    q = np.random.default_rng(3).standard_normal(15)
-    d = np.linalg.norm(X - q[None, :], axis=1)
-    expect = np.argsort(d, kind="stable")[:30]
-    it = tree.incremental_nn(q)
-    got = [next(it) for _ in range(30)]
-    got_dists = [gd for _, gd in got]
-    assert got_dists == sorted(got_dists)
-    np.testing.assert_allclose(got_dists, np.sort(d)[:30], rtol=1e-9)
-    assert set(r for r, _ in got) == set(expect.tolist())
-
-
-def test_incremental_nn_exhausts_everything():
-    g = np.random.default_rng(5)
-    X = g.standard_normal((60, 4))
-    tree = RTree(X, capacity=4)
-    seen = [r for r, _ in tree.incremental_nn(np.zeros(4))]
-    assert sorted(seen) == list(range(60))
 
 
 def test_counters_increment(tree_and_data):
@@ -108,16 +87,3 @@ def test_range_query_property(n, dim, r, seed):
     rows, _ = tree.range_query(q, r)
     assert set(rows.tolist()) == brute_range(X, q, r)
 
-
-@given(n=st.integers(5, 80), dim=st.integers(2, 6), seed=st.integers(0, 500))
-@settings(max_examples=25, deadline=None)
-def test_incremental_nn_property(n, dim, seed):
-    g = np.random.default_rng(seed)
-    X = g.standard_normal((n, dim))
-    tree = RTree(X, capacity=8)
-    q = g.standard_normal(dim)
-    d = np.sort(np.linalg.norm(X - q[None, :], axis=1))
-    it = tree.incremental_nn(q)
-    k = min(10, n)
-    got = [next(it)[1] for _ in range(k)]
-    np.testing.assert_allclose(got, d[:k], rtol=1e-9)
