@@ -14,11 +14,12 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.exact import exact_knn_arrays
+from repro.core.partindex import Closeable
 
 __all__ = ["LScan"]
 
 
-class LScan:
+class LScan(Closeable):
     """Materialized random sample of the dataset, queried by brute force."""
 
     def __init__(self, spark: SparkSession, vectors: DataFrame, *,
@@ -38,3 +39,7 @@ class LScan:
 
     def query(self, q: np.ndarray, k: int = 50) -> tuple[np.ndarray, np.ndarray]:
         return self.query_batch(np.asarray(q)[None, :], k)[0]
+
+    def close(self) -> None:
+        """Drop the cached sample."""
+        self.sample.unpersist()

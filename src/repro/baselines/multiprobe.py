@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.partindex import PartitionedIndex
+from repro.core.partindex import IndexOwner, PartitionedIndex
 from repro.core.pmlsh import (
     CAND_SCHEMA,
     build_prologue,
@@ -95,7 +95,7 @@ def probe_sequence(f: np.ndarray, w: float, n_probe: int) -> list[tuple[int, ...
 
 
 @dataclass
-class MultiProbe:
+class MultiProbe(IndexOwner):
     spark: SparkSession
     projections: list[GaussianProjection]   # one per table
     index: PartitionedIndex

@@ -30,7 +30,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.partindex import PartitionedIndex
+from repro.core.partindex import IndexOwner, PartitionedIndex
 from repro.core.pmlsh import (
     CAND_SCHEMA,
     ann_search,
@@ -66,7 +66,7 @@ def qalsh_params(n: int, c: float, *, w: float = 2.719,
 
 
 @dataclass
-class QALSH:
+class QALSH(IndexOwner):
     spark: SparkSession
     proj: GaussianProjection   # m_q one-dimensional projections
     index: PartitionedIndex

@@ -114,8 +114,23 @@ class RTree:
         self.cc = 0
         self.nodes_accessed = 0
 
-    def range_query(self, q: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Row indices within distance ``r`` of ``q`` plus their distances."""
+    def range_query(self, q: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices within distance ``r`` of ``q`` plus their distances.
+
+        Takes the same calls as ``PMTree.range_query``: a 1-D ``q`` with a
+        scalar ``r`` returns ``(rows, dists)``; an (nq, m) ``q`` with (nq,)
+        radii returns ``(hits, dists)`` with ``hits`` an (C, 2) array of
+        (query index, row), grouped by ascending query index.
+        """
+        if np.ndim(q) == 1:
+            return self._range_one(q, r)
+        found = [self._range_one(qi, ri) for qi, ri in zip(q, r)]
+        qidx = np.repeat(np.arange(len(found)), [len(rows) for rows, _ in found])
+        rows = np.concatenate([np.empty(0, dtype=np.int64), *(f[0] for f in found)])
+        dists = np.concatenate([np.empty(0), *(f[1] for f in found)])
+        return np.stack([qidx, rows], axis=1), dists
+
+    def _range_one(self, q: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
         q = np.asarray(q, dtype=np.float64)
         r2 = r * r
         out_rows: list[np.ndarray] = []

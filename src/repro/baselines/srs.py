@@ -30,7 +30,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.partindex import PartitionedIndex
+from repro.core.partindex import IndexOwner, PartitionedIndex
 from repro.core.pmlsh import CAND_SCHEMA, build_prologue, check_queries
 from repro.core.projection import GaussianProjection
 from repro.numerics.chi2 import chi2_cdf
@@ -39,7 +39,7 @@ __all__ = ["SRS"]
 
 
 @dataclass
-class SRS:
+class SRS(IndexOwner):
     spark: SparkSession
     proj: GaussianProjection
     index: PartitionedIndex

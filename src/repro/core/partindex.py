@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import shutil
 import uuid
 from dataclasses import dataclass
 from typing import Callable
@@ -38,7 +39,8 @@ from pyspark.sql.types import (
     StructType,
 )
 
-__all__ = ["PartitionedIndex", "load_blob", "default_index_root"]
+__all__ = ["PartitionedIndex", "IndexOwner", "Closeable", "load_blob",
+           "default_index_root"]
 
 META_SCHEMA = StructType(
     [
@@ -70,8 +72,31 @@ def default_index_root() -> str:
     return root
 
 
+class Closeable:
+    """Context-manager protocol for an object with ``close()``."""
+
+    def close(self) -> None:
+        raise NotImplementedError
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class IndexOwner(Closeable):
+    """An index whose blobs live in the ``PartitionedIndex`` at ``self.index``."""
+
+    index: "PartitionedIndex"
+
+    def close(self) -> None:
+        """Delete this index's blobs; it cannot be queried afterwards."""
+        self.index.close()
+
+
 @dataclass
-class PartitionedIndex:
+class PartitionedIndex(Closeable):
     """Meta DataFrame + driver-side summaries for one built index."""
 
     meta: DataFrame              # cached (pid, path, count, summary) rows
@@ -149,3 +174,14 @@ class PartitionedIndex:
                         yield out
 
         return meta.mapInPandas(_probe, schema=schema)
+
+    def close(self) -> None:
+        """Remove ``index_dir`` and this process's cached blobs from it.
+
+        Worker processes keep their cached copies until they exit; their
+        cache keys embed the directory's uuid, so no later index reads them.
+        """
+        prefix = os.path.join(self.index_dir, "")
+        for path in [p for p in _BLOB_CACHE if p.startswith(prefix)]:
+            del _BLOB_CACHE[path]
+        shutil.rmtree(self.index_dir, ignore_errors=True)

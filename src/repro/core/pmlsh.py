@@ -7,7 +7,7 @@ Build (Section 4.1, adapted to the distributed dataflow of this repo):
 2. partition the projected space with sampled k-means (one Spark
    partition per cluster) — ``repro.core.partitioner``;
 3. per partition, build a PM-tree over the projected points with a
-   *global* pivot set, and persist ``{tree, ids, P, X}`` as an index blob
+   *global* pivot set, and persist ``{tree, ids, X}`` as an index blob
    (``repro.core.partindex``). Each partition also reports a ball+ring
    summary, which the driver uses to prune whole partitions at query
    time — the same geometry as a PM-tree inner node, one level up.
@@ -44,9 +44,10 @@ from pyspark.sql.types import (
 )
 
 from repro.core.confidence import ConfidenceInterval
-from repro.core.partindex import PartitionedIndex
+from repro.core.partindex import IndexOwner, PartitionedIndex
 from repro.core.partitioner import assign_partitions, kmeans
-from repro.core.pmtree import PMTree, select_pivots
+from repro.core.pmtree import (PMTree, pruning_radius, ring_pruned, ro_dists,
+                                select_pivots)
 from repro.core.projection import GaussianProjection
 from repro.costmodel import DistanceDistribution
 
@@ -154,21 +155,17 @@ def ann_search(probe: Callable[[dict[int, float], dict[int, dict[int, float]]],
     return results, {i: len(C) for i, C in cand.items()}
 
 
-def _partition_pruned(summary: dict, qp: np.ndarray, qpiv: np.ndarray,
-                      pradius: float) -> bool:
-    """True if the query ball B(qp, pradius) cannot touch this partition."""
-    if float(np.linalg.norm(qp - summary["ro"])) > summary["radius"] + pradius:
-        return True
-    hr = summary["hr"]
-    if hr.shape[0] and (
-        np.any(qpiv - pradius > hr[:, 1]) or np.any(qpiv + pradius < hr[:, 0])
-    ):
-        return True
-    return False
+def _partition_live(summary: dict, QP: np.ndarray, qpiv: np.ndarray,
+                    R: np.ndarray) -> np.ndarray:
+    """Mask of the queries whose ball B(qp, r) can touch this partition:
+    the PM-tree node test (ball, then rings) one level above the trees."""
+    Rp = pruning_radius(R, summary["radius"], summary["hr"])
+    near = ro_dists(QP, summary["ro"][None, :]) <= summary["radius"] + Rp
+    return near & ~ring_pruned(qpiv, summary["hr"], Rp)
 
 
 @dataclass
-class PMLSH:
+class PMLSH(IndexOwner):
     """A built PM-LSH index plus everything needed to answer queries."""
 
     spark: SparkSession
@@ -227,7 +224,7 @@ class PMLSH:
                 if pd_mat.shape[1]
                 else np.zeros((0, 2))
             )
-            blob = {"tree": tree, "ids": ids, "P": P, "X": X}
+            blob = {"tree": tree, "ids": ids, "X": X}
             summary = {"ro": ro, "radius": radius, "hr": hr, "count": len(ids)}
             return blob, summary
 
@@ -244,56 +241,41 @@ class PMLSH:
 
     def _probe_round(self, QP: dict[int, np.ndarray], QV: dict[int, np.ndarray],
                      radii: dict[int, float]) -> pd.DataFrame:
-        """One Spark pass: per partition, range queries for all active queries.
+        """One Spark pass: per partition, one batched range query for all
+        active queries that reach it.
 
-        ``radii`` maps qid -> *projected-space* radius (already t*r).
-        Partition pruning happens executor-side against the blob summary
-        and driver-side when selecting pids, both using the ball+ring test.
+        ``radii`` maps qid -> *projected-space* radius (already t*r). The
+        driver runs the partition-level ball+ring test for every query and
+        probes only partitions that some query reaches; each probe serves
+        the queries that reach its partition.
         """
-        qpiv_all = {
-            qid: np.linalg.norm(self.pivots - QP[qid][None, :], axis=1)
-            if len(self.pivots) else np.zeros(0)
-            for qid in radii
-        }
-        # driver-side partition selection
-        pids = [
-            pid
-            for pid, summ in self.index.summaries.items()
-            if any(
-                not _partition_pruned(summ, QP[qid], qpiv_all[qid], pr)
-                for qid, pr in radii.items()
-            )
-        ]
+        qids = np.fromiter(radii, dtype=np.int64, count=len(radii))
+        R = np.fromiter(radii.values(), dtype=np.float64, count=len(radii))
+        QPa = np.stack([QP[int(i)] for i in qids])
+        QVa = np.stack([QV[int(i)] for i in qids])
+        qpiv = (np.linalg.norm(self.pivots[None, :, :] - QPa[:, None, :], axis=2)
+                if len(self.pivots) else np.zeros((len(qids), 0)))
+        live = {pid: np.flatnonzero(_partition_live(summ, QPa, qpiv, R))
+                for pid, summ in self.index.summaries.items()}
+        pids = [pid for pid, sel in live.items() if len(sel)]
         if not pids:
             return pd.DataFrame(columns=["qid", "id", "pdist", "dist"])
-        QP_loc, QV_loc, radii_loc, qpiv_loc = QP, QV, dict(radii), qpiv_all
 
         def _probe(blob: dict, summary: dict, pid: int) -> pd.DataFrame | None:
-            tree: PMTree = blob["tree"]
-            out = []
-            for qid, pr in radii_loc.items():
-                qp = QP_loc[qid]
-                if _partition_pruned(summary, qp, qpiv_loc[qid], pr):
-                    continue
-                rows, pdists = tree.range_query(qp, pr)
-                if len(rows) == 0:
-                    continue
-                # "point probing": verify candidates with true distances
-                diff = blob["X"][rows] - QV_loc[qid][None, :]
-                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                out.append(
-                    pd.DataFrame(
-                        {
-                            "qid": np.full(len(rows), qid, dtype=np.int64),
-                            "id": blob["ids"][rows],
-                            "pdist": pdists,
-                            "dist": dist,
-                        }
-                    )
-                )
-            if not out:
+            sel = live[pid]
+            hits, pdists = blob["tree"].range_query(QPa[sel], R[sel])
+            if len(hits) == 0:
                 return None
-            return pd.concat(out, ignore_index=True)
+            rows = hits[:, 1]
+            # "point probing": verify candidates with true distances, one
+            # query at a time to bound the gathered block
+            dist = np.empty(len(rows))
+            bounds = np.searchsorted(hits[:, 0], np.arange(len(sel) + 1))
+            for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                diff = blob["X"][rows[a:b]] - QVa[sel[j]]
+                dist[a:b] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            return pd.DataFrame({"qid": qids[sel[hits[:, 0]]], "id": blob["ids"][rows],
+                                 "pdist": pdists, "dist": dist})
 
         sdf = self.index.probe(_probe, schema=CAND_SCHEMA, pids=pids)
         return sdf.toPandas()

@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 
+# sampled pairs whose difference vectors are held in memory at once
+_PAIR_BLOCK = 4096
+
+
 class DistanceDistribution:
     """Empirical F(x) = Pr[||o_i, o_j|| <= x] from sampled pairs."""
 
@@ -45,8 +49,11 @@ class DistanceDistribution:
         i = g.integers(0, n, n_pairs)
         j = g.integers(0, n, n_pairs)
         keep = i != j
-        diffs = X[i[keep]] - X[j[keep]]
-        d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+        i, j = i[keep], j[keep]
+        d = np.empty(len(i))
+        for a in range(0, len(i), _PAIR_BLOCK):
+            diffs = X[i[a:a + _PAIR_BLOCK]] - X[j[a:a + _PAIR_BLOCK]]
+            d[a:a + _PAIR_BLOCK] = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
         self.sorted = np.sort(d)
 
     def __call__(self, x) -> np.ndarray | float:
@@ -81,15 +88,10 @@ def isochoric_cube_side(rq: float, m: int) -> float:
 
 def cc_pmtree(tree: PMTree, rq: float, F: DistanceDistribution) -> float:
     """Expected distance computations of ``range(q, rq)`` (Eqs. 6-7)."""
-    total = 0.0
-    for node in tree.nodes():
-        pr = F(node.radius + rq)
-        for i in range(node.hr.shape[0]):
-            pr *= max(
-                0.0, F(node.hr[i, 1] + rq) - F(node.hr[i, 0] - rq)
-            )
-        total += node.n_entries() * pr
-    return total
+    pr = F(tree.radius + rq)
+    for i in range(tree.hr.shape[1]):
+        pr = pr * np.maximum(0.0, F(tree.hr[:, i, 1] + rq) - F(tree.hr[:, i, 0] - rq))
+    return float(np.sum(tree.node_entries() * pr))
 
 
 def cc_rtree(tree: RTree, rq: float, G: list[np.ndarray]) -> float:

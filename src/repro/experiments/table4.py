@@ -106,14 +106,13 @@ def run_dataset(spark: SparkSession, ds_name: str, *, sf: float = 0.02,
             index = build_algorithm(spark, algo, df, c=c,
                                     n_partitions=n_partitions, seed=seed)
             build_sec = time.perf_counter() - t0
-            index.query_batch(Q[:1], k)  # warm blob caches / JIT paths
-            t0 = time.perf_counter()
-            res = index.query_batch(Q, k)
-            query_ms = (time.perf_counter() - t0) * 1000.0 / len(Q)
+            with index:
+                index.query_batch(Q[:1], k)  # warm blob caches / JIT paths
+                t0 = time.perf_counter()
+                res = index.query_batch(Q, k)
+                query_ms = (time.perf_counter() - t0) * 1000.0 / len(Q)
+                probed = float(np.mean(list(index.last_probed.values())))
             s = summarize(res, exact)
-            probed = float(np.mean(list(index.last_probed.values())))
-            if hasattr(index, "sample"):  # LScan: drop its cached sample
-                index.sample.unpersist()
             paper = PAPER_TABLE4[ds_name][algo]
             rows.append(
                 {

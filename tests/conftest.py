@@ -61,5 +61,6 @@ def audio_exact(spark, audio_df, audio_small):
 def pmlsh_index(spark, audio_df):
     from repro.core.pmlsh import PMLSH
 
-    return PMLSH.build(spark, audio_df, m=15, c=1.5, n_partitions=6, seed=0,
-                       beta=0.2809)
+    with PMLSH.build(spark, audio_df, m=15, c=1.5, n_partitions=6, seed=0,
+                     beta=0.2809) as index:
+        yield index

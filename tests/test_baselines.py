@@ -17,8 +17,9 @@ from repro.metrics import summarize
 
 @pytest.fixture(scope="module")
 def rlsh_index(spark, audio_df):
-    return RLSH.build(spark, audio_df, m=15, c=1.5, n_partitions=6, seed=0,
-                      beta=0.2809)
+    with RLSH.build(spark, audio_df, m=15, c=1.5, n_partitions=6, seed=0,
+                    beta=0.2809) as index:
+        yield index
 
 
 def test_rlsh_quality(rlsh_index, audio_small, audio_exact):
@@ -50,7 +51,8 @@ def test_rlsh_and_pmlsh_agree(rlsh_index, pmlsh_index, audio_small):
 
 @pytest.fixture(scope="module")
 def srs_index(spark, audio_df):
-    return SRS.build(spark, audio_df, m=15, c=1.5, n_partitions=6, seed=0)
+    with SRS.build(spark, audio_df, m=15, c=1.5, n_partitions=6, seed=0) as index:
+        yield index
 
 
 def test_srs_quality(srs_index, audio_small, audio_exact):
@@ -96,7 +98,8 @@ def test_srs_results_sorted(srs_index, audio_small):
 
 @pytest.fixture(scope="module")
 def qalsh_index(spark, audio_df):
-    return QALSH.build(spark, audio_df, c=1.5, n_partitions=6, seed=0)
+    with QALSH.build(spark, audio_df, c=1.5, n_partitions=6, seed=0) as index:
+        yield index
 
 
 def test_qalsh_params_formulas():
@@ -152,8 +155,9 @@ def test_qalsh_radius_schedule_geometric(qalsh_index, audio_small, monkeypatch):
 
 @pytest.fixture(scope="module")
 def mp_index(spark, audio_df):
-    return MultiProbe.build(spark, audio_df, L=4, m_mp=8, n_probe=64,
-                            n_partitions=6, seed=0)
+    with MultiProbe.build(spark, audio_df, L=4, m_mp=8, n_probe=64,
+                          n_partitions=6, seed=0) as index:
+        yield index
 
 
 def test_probe_sequence_starts_with_base_bucket():
@@ -209,12 +213,12 @@ def test_multiprobe_quality(mp_index, audio_small, audio_exact):
 def test_multiprobe_more_probes_do_not_hurt(spark, audio_df, audio_small,
                                             audio_exact):
     _, Q = audio_small
-    few = MultiProbe.build(spark, audio_df, L=4, m_mp=8, n_probe=4,
-                           n_partitions=6, seed=0)
-    s_few = summarize(few.query_batch(Q, k=20), audio_exact)
-    many = MultiProbe.build(spark, audio_df, L=4, m_mp=8, n_probe=128,
-                            n_partitions=6, seed=0)
-    s_many = summarize(many.query_batch(Q, k=20), audio_exact)
+    with MultiProbe.build(spark, audio_df, L=4, m_mp=8, n_probe=4,
+                          n_partitions=6, seed=0) as few:
+        s_few = summarize(few.query_batch(Q, k=20), audio_exact)
+    with MultiProbe.build(spark, audio_df, L=4, m_mp=8, n_probe=128,
+                          n_partitions=6, seed=0) as many:
+        s_many = summarize(many.query_batch(Q, k=20), audio_exact)
     assert s_many["recall"] >= s_few["recall"] - 1e-9
 
 
@@ -241,7 +245,8 @@ def test_malformed_query_rejected_before_spark(request, monkeypatch, audio_small
 
 @pytest.fixture(scope="module")
 def lscan_index(spark, audio_df):
-    return LScan(spark, audio_df, fraction=0.7, seed=0)
+    with LScan(spark, audio_df, fraction=0.7, seed=0) as index:
+        yield index
 
 
 def test_lscan_sample_size(lscan_index, audio_small):
@@ -257,8 +262,8 @@ def test_lscan_recall_near_sample_rate(lscan_index, audio_small, audio_exact):
 
 def test_lscan_full_fraction_is_exact(spark, audio_df, audio_small, audio_exact):
     _, Q = audio_small
-    full = LScan(spark, audio_df, fraction=1.0, seed=0)
-    s = summarize(full.query_batch(Q, k=20), audio_exact)
+    with LScan(spark, audio_df, fraction=1.0, seed=0) as full:
+        s = summarize(full.query_batch(Q, k=20), audio_exact)
     assert s["recall"] == 1.0
     assert s["overall_ratio"] == pytest.approx(1.0)
 

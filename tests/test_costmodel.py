@@ -39,6 +39,20 @@ def test_distance_distribution_is_cdf(F):
     assert F(-1.0) == 0.0
 
 
+def test_distance_distribution_blocks_match_one_shot_formula(projected_data):
+    """Pair distances computed block by block equal the all-pairs-at-once
+    formula bit for bit, over several blocks and a partial last one."""
+    n_pairs = 3 * 4096 + 123
+    F_blocked = DistanceDistribution(projected_data, n_pairs=n_pairs, seed=4)
+    g = np.random.default_rng(4)
+    i = g.integers(0, len(projected_data), n_pairs)
+    j = g.integers(0, len(projected_data), n_pairs)
+    keep = i != j
+    diffs = projected_data[i[keep]] - projected_data[j[keep]]
+    one_shot = np.sort(np.sqrt(np.einsum("ij,ij->i", diffs, diffs)))
+    np.testing.assert_array_equal(F_blocked.sorted, one_shot)
+
+
 def test_distance_distribution_quantile_inverts_cdf(F):
     for p in (0.05, 0.3, 0.8):
         assert F(F.quantile(p)) == pytest.approx(p, abs=0.01)
@@ -78,7 +92,7 @@ def test_cc_estimates_positive_and_bounded(projected_data, F):
     assert 0 < cc_rt
     # total entries over all nodes is ~ n * (1 + 1/cap + ...) < 1.2 n per
     # level count; the model cannot exceed visiting everything
-    total_pm = sum(nd.n_entries() for nd in pm.nodes())
+    total_pm = int(pm.node_entries().sum())
     total_rt = sum(nd.n_entries() for nd in rt.nodes())
     assert cc_pm <= total_pm
     assert cc_rt <= total_rt

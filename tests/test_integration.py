@@ -36,8 +36,11 @@ def table4_mini(arena):
         "R-LSH": RLSH.build(spark, df, beta=0.2809, n_partitions=6, seed=0),
         "LScan": LScan(spark, df, fraction=0.7, seed=0),
     }
-    return {name: summarize(a.query_batch(Q, k=20), exact)
-            for name, a in algos.items()}
+    out = {}
+    for name, a in algos.items():
+        with a:
+            out[name] = summarize(a.query_batch(Q, k=20), exact)
+    return out
 
 
 def test_every_algorithm_beats_chance(table4_mini):

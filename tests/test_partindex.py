@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, IntegerType, LongType, StructField, StructType
 
 from repro import datasets
@@ -35,8 +36,8 @@ def built(spark):
         return {"V": V, "ids": ids}, {"count": len(ids), "mean_norm": float(
             np.mean(np.linalg.norm(V, axis=1)))}
 
-    idx = PartitionedIndex.build(spark, assigned, build_fn, name="test")
-    return idx, X
+    with PartitionedIndex.build(spark, assigned, build_fn, name="test") as idx:
+        yield idx, X
 
 
 def test_build_covers_all_points(built):
@@ -113,8 +114,27 @@ def test_distinct_builds_get_distinct_dirs(spark, built):
     df = proj.transform(datasets.to_spark(spark, X))
     centers = kmeans(proj.project(X), 2, seed=0)
     assigned = assign_partitions(df, centers)
-    idx2 = PartitionedIndex.build(
+    with PartitionedIndex.build(
+        spark, assigned, lambda pdf: ({"n": len(pdf)}, {"count": len(pdf)}),
+        name="test",
+    ) as idx2:
+        assert idx2.index_dir != idx.index_dir
+
+
+def test_close_removes_directory_and_cached_blobs(spark):
+    from repro.core import partindex
+
+    X = np.random.default_rng(1).standard_normal((40, 4))
+    assigned = datasets.to_spark(spark, X).withColumn("pid", (F.col("id") % 2).cast("int"))
+    idx = PartitionedIndex.build(
         spark, assigned, lambda pdf: ({"n": len(pdf)}, {"count": len(pdf)}),
         name="test",
     )
-    assert idx2.index_dir != idx.index_dir
+    paths = [row["path"] for row in idx.meta.collect()]
+    for path in paths:
+        load_blob(path)
+    assert all(path in partindex._BLOB_CACHE for path in paths)
+    idx.close()
+    assert not os.path.exists(idx.index_dir)
+    assert not any(path in partindex._BLOB_CACHE for path in paths)
+    idx.close()  # closing twice is harmless

@@ -96,6 +96,20 @@ def test_partition_summaries_have_ring_bounds(pmlsh_index):
         assert s["radius"] >= 0
 
 
+def test_closed_index_directory_is_gone(spark):
+    """``close()`` (here through the context manager) deletes the blobs."""
+    import os
+
+    from repro.core.pmlsh import PMLSH
+
+    X = np.random.default_rng(3).standard_normal((300, 16))
+    with PMLSH.build(spark, datasets.to_spark(spark, X), n_partitions=2,
+                     seed=0) as index:
+        index_dir = index.index.index_dir
+        assert len(os.listdir(index_dir)) == 2
+    assert not os.path.exists(index_dir)
+
+
 def test_build_rejects_empty_dataframe(spark):
     from repro.core.pmlsh import PMLSH
     from repro.core.projection import VECTOR_SCHEMA

@@ -30,6 +30,23 @@ def test_leaf_capacity_respected(tree_and_data):
         assert node.n_entries() <= tree.capacity
 
 
+def test_batch_call_matches_single_calls(tree_and_data):
+    """The (nq, m) call PM-LSH's probe makes returns (query index, row)
+    hits grouped by query, each group equal to that query's 1-D call."""
+    tree, X = tree_and_data
+    g = np.random.default_rng(2)
+    Q = np.concatenate([g.standard_normal((3, 15)), X[[5]], np.full((1, 15), 50.0)])
+    R = np.array([2.0, 3.5, 5.0, 0.0, 1.0])
+    hits, dists = tree.range_query(Q, R)
+    assert hits.shape == (len(dists), 2)
+    assert np.all(np.diff(hits[:, 0]) >= 0)
+    for i, (q, r) in enumerate(zip(Q, R)):
+        rows, d = tree.range_query(q, r)
+        np.testing.assert_array_equal(hits[hits[:, 0] == i, 1], rows)
+        np.testing.assert_array_equal(dists[hits[:, 0] == i], d)
+    assert 5 in hits[hits[:, 0] == 3, 1]
+
+
 @pytest.mark.parametrize("r", [0.5, 1.5, 3.0, 5.0, 8.0])
 def test_range_query_matches_brute_force(tree_and_data, r):
     tree, X = tree_and_data
